@@ -21,12 +21,14 @@ use qc_algos::{quantum_volume, quantum_volume_with_depth, vqe_parameter_batch};
 use qc_backends::Backend;
 use qc_circuit::testing::random_circuit;
 use qc_circuit::{
-    circuit_unitary, circuit_unitary_reference, circuit_unitary_unfused, Circuit, Gate,
+    circuit_unitary, circuit_unitary_reference, circuit_unitary_unfused, ChangeReport, Circuit,
+    Gate,
 };
 use qc_math::haar_unitary;
 use qc_sim::{run_batch, Statevector};
 use qc_synth::{synthesize_two_qubit, OneQubitEuler, TwoQubitWeyl};
 use qc_transpile::routing::route;
+use qc_transpile::{DagPass, PassGuard, PassStats, PropertySet, TranspileBudget, ValidationMode};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -250,6 +252,39 @@ fn bench_kernels(c: &mut Criterion) {
         })
     });
 
+    // The guard's fixed cost per pass: a pass that changes nothing, run
+    // through `PassGuard::run_pass` on the routed qv20 output (~1.5k
+    // nodes). Validation is off, so what remains is the checkpoint,
+    // `catch_unwind` and bookkeeping — a journal mark, independent of the
+    // DAG's size.
+    let mut routed_qv20 = qc_circuit::Dag::from_circuit(
+        &qc_transpile::transpile(
+            &qv20,
+            &almaden,
+            &qc_transpile::TranspileOptions::level(3).with_seed(7),
+        )
+        .unwrap()
+        .circuit,
+    );
+    let mut guard =
+        PassGuard::new(TranspileBudget::unlimited()).with_validation(ValidationMode::Off);
+    let mut props = PropertySet::new();
+    let mut stats = PassStats::new_named("NoOp");
+    c.bench_function("guard_noop_pass_qv20", |b| {
+        b.iter(|| {
+            guard
+                .run_pass(
+                    "NoOp",
+                    &NoOp,
+                    &mut routed_qv20,
+                    &mut props,
+                    &mut stats,
+                    true,
+                )
+                .unwrap()
+        })
+    });
+
     // Wide/shallow workload: a 1000-gate mostly-local chain on a 24-qubit
     // line. Per-gate optimization opportunities are sparse (one
     // cancellable cx pair per segment), so this bench tracks the
@@ -285,6 +320,23 @@ fn bench_kernels(c: &mut Criterion) {
             .unwrap()
         })
     });
+}
+
+/// A pass that changes nothing (the `guard_noop_pass_qv20` payload).
+struct NoOp;
+
+impl DagPass for NoOp {
+    fn name(&self) -> &'static str {
+        "NoOp"
+    }
+
+    fn run_on_dag(
+        &self,
+        dag: &mut qc_circuit::Dag,
+        _props: &mut PropertySet,
+    ) -> Result<ChangeReport, qc_transpile::TranspileError> {
+        Ok(ChangeReport::none(dag.num_qubits()))
+    }
 }
 
 criterion_group!(benches, bench_kernels);

@@ -40,6 +40,19 @@
 //! [`Dag::wire_class_mask`] to skip the pass when no dirty wire carries
 //! relevant content.
 //!
+//! # Checkpoints
+//!
+//! [`Dag::checkpoint`] opens an undo journal that the two public mutators
+//! write to: each splice of [`Dag::apply`] records the node it removed
+//! (moved, not cloned) and the ids it inserted, and [`Dag::replace_all`]
+//! moves the whole old slab into the journal. [`Dag::commit`] drops the
+//! records; [`Dag::rollback`] replays them in reverse, restoring the exact
+//! slab — node ids, links, free list, census — at the cost of the edits
+//! made since the mark, not of the circuit. With no checkpoint open the
+//! mutators record nothing. Generations never rewind: a rollback bumps the
+//! generation and stamps every wire it restored, so an analysis cached
+//! while the undone edits were live can never be mistaken for current.
+//!
 //! [`Dag::from_circuit`] and [`Dag::to_circuit`] are the *only* sanctioned
 //! Circuit↔Dag boundary and each bumps a thread-local conversion counter
 //! ([`conversion_counts`]) so tests can assert a pipeline converts exactly
@@ -320,6 +333,42 @@ struct Node {
     wires: Vec<(usize, usize)>,
 }
 
+/// An open [`Dag::checkpoint`], closed by [`Dag::commit`] or
+/// [`Dag::rollback`].
+#[derive(Debug)]
+#[must_use = "a checkpoint must be committed or rolled back"]
+pub struct Mark {
+    /// Journal length when the checkpoint was taken.
+    at: usize,
+    /// Number of checkpoints open, this one included.
+    depth: usize,
+}
+
+/// One journal record: what [`Dag::rollback`] needs to undo one mutation.
+#[derive(Clone, Debug)]
+enum Undo {
+    /// One splice of [`Dag::apply`]: node `id` was removed (its links as
+    /// they were before the splice) and `inserted` took its place, in
+    /// allocation order. Ids at or above `slab_len` were pushed onto the
+    /// slab; the others came off the free list.
+    Splice {
+        id: usize,
+        node: Node,
+        inserted: Vec<usize>,
+        slab_len: usize,
+    },
+    /// A [`Dag::replace_all`]: the whole previous slab.
+    ReplaceAll {
+        num_qubits: usize,
+        slots: Vec<Option<Node>>,
+        free: Vec<usize>,
+        len: usize,
+        head: usize,
+        tail: usize,
+        wire_classes: Vec<[u32; gate_class::COUNT]>,
+    },
+}
+
 /// Dependency DAG over the instructions of a circuit — the transpiler's
 /// shared mutable IR (see the module docs).
 ///
@@ -335,13 +384,18 @@ pub struct Dag {
     len: usize,
     head: usize,
     tail: usize,
-    /// Monotone mutation counter; bumped by every non-empty [`Dag::apply`].
+    /// Monotone mutation counter; bumped by every non-empty [`Dag::apply`],
+    /// every [`Dag::replace_all`] and every [`Dag::rollback`].
     generation: u64,
     /// Per-wire stamp of the generation that last touched the wire.
     wire_gen: Vec<u64>,
     /// Per-wire census: how many nodes on the wire carry each
     /// [`gate_class`] bit. Maintained incrementally per splice.
     wire_classes: Vec<[u32; gate_class::COUNT]>,
+    /// Undo records of the mutations since the outermost open checkpoint.
+    journal: Vec<Undo>,
+    /// Number of open checkpoints; the mutators record only when nonzero.
+    open_marks: usize,
 }
 
 /// A collected two-qubit block: a maximal run of gates that act only on one
@@ -369,6 +423,8 @@ impl Dag {
             generation: 1,
             wire_gen: vec![1; circuit.num_qubits()],
             wire_classes: vec![[0; gate_class::COUNT]; circuit.num_qubits()],
+            journal: Vec::new(),
+            open_marks: 0,
         };
         dag.rebuild(circuit.instructions().to_vec());
         dag
@@ -452,6 +508,12 @@ impl Dag {
     /// length for id-indexed scratch tables (`vec![...; dag.capacity()]`).
     pub fn capacity(&self) -> usize {
         self.slots.len()
+    }
+
+    /// The recycled node ids, in free-list order: the next insertion takes
+    /// the last one.
+    pub fn free_ids(&self) -> &[usize] {
+        &self.free
     }
 
     /// The monotone mutation counter (1 at construction).
@@ -712,6 +774,9 @@ impl Dag {
     /// removed, replaced or inserted instruction are stamped with a fresh
     /// generation; freed node ids are recycled for later insertions.
     ///
+    /// The edit is checked whole before the first splice, so a rejected
+    /// edit leaves the DAG untouched.
+    ///
     /// # Panics
     ///
     /// Panics if an edit references a node twice or a dead/out-of-range id,
@@ -721,18 +786,27 @@ impl Dag {
             return ChangeReport::none(self.num_qubits);
         }
         let rewrites = edit.ops.len();
-        let mut touched = WireSet::empty(self.num_qubits);
-        let mut relink_nodes = 0usize;
         let mut edited: HashSet<usize> = HashSet::with_capacity(rewrites);
-        for (node, op) in edit.ops {
+        for (node, op) in &edit.ops {
             assert!(
-                node < self.slots.len() && self.slots[node].is_some() || edited.contains(&node),
-                "edit references node {node} out of range"
+                self.slots.get(*node).is_some_and(Option::is_some),
+                "edit references node {node}, which is dead or out of range"
             );
             assert!(
-                edited.insert(node) && self.slots[node].is_some(),
+                edited.insert(*node),
                 "node {node} edited twice in one batch"
             );
+            for q in op.iter().flatten().flat_map(|inst| &inst.qubits) {
+                assert!(
+                    *q < self.num_qubits,
+                    "replacement qubit {q} out of range for {}-qubit dag",
+                    self.num_qubits
+                );
+            }
+        }
+        let mut touched = WireSet::empty(self.num_qubits);
+        let mut relink_nodes = 0usize;
+        for (node, op) in edit.ops {
             relink_nodes += self.splice(node, op.unwrap_or_default(), &mut touched);
         }
         self.generation += 1;
@@ -748,29 +822,14 @@ impl Dag {
 
     /// Replaces node `node_id` with `insts` (possibly empty), patching the
     /// order list and the wire chains locally. Returns the number of nodes
-    /// whose links were rewritten.
+    /// whose links were rewritten. Journals the splice when a checkpoint
+    /// is open.
     fn splice(&mut self, node_id: usize, insts: Vec<Instruction>, touched: &mut WireSet) -> usize {
-        let removed = self.slots[node_id].take().expect("live node id");
-        self.len -= 1;
+        let slab_len = self.slots.len();
+        let removed = self.detach(node_id, touched);
         self.free.push(node_id);
         let mut relinked = 1usize;
-        let removed_classes = instruction_classes(&removed.inst);
-        for &q in &removed.inst.qubits {
-            touched.insert(q);
-            bump_classes(&mut self.wire_classes[q], removed_classes, -1);
-        }
         let (left, right) = (removed.order_prev, removed.order_next);
-        // Unlink from the order list.
-        if left != NONE {
-            self.node_mut(left).order_next = right;
-        } else {
-            self.head = right;
-        }
-        if right != NONE {
-            self.node_mut(right).order_prev = left;
-        } else {
-            self.tail = left;
-        }
         // `(wire, pred, succ)` triples of the removed node.
         let removed_wires: Vec<(usize, usize, usize)> = removed
             .inst
@@ -784,16 +843,9 @@ impl Dag {
         let mut new_ids = Vec::with_capacity(insts.len());
         let mut cursor = left;
         for inst in insts {
-            for &q in &inst.qubits {
-                assert!(
-                    q < self.num_qubits,
-                    "replacement qubit {q} out of range for {}-qubit dag",
-                    self.num_qubits
-                );
-                touched.insert(q);
-            }
             let classes = instruction_classes(&inst);
             for &q in &inst.qubits {
+                touched.insert(q);
                 bump_classes(&mut self.wire_classes[q], classes, 1);
             }
             let id = self.alloc(inst);
@@ -867,16 +919,217 @@ impl Dag {
                 relinked += 1;
             }
         }
+        if self.open_marks > 0 {
+            self.journal.push(Undo::Splice {
+                id: node_id,
+                node: removed,
+                inserted: new_ids,
+                slab_len,
+            });
+        }
         relinked
+    }
+
+    /// Takes live node `id` out of its slot, the census and the order
+    /// list, leaving the slot empty. Its wire neighbours still point at it:
+    /// the caller relinks the chains.
+    fn detach(&mut self, id: usize, touched: &mut WireSet) -> Node {
+        let node = self.slots[id].take().expect("live node id");
+        self.len -= 1;
+        let classes = instruction_classes(&node.inst);
+        for &q in &node.inst.qubits {
+            touched.insert(q);
+            bump_classes(&mut self.wire_classes[q], classes, -1);
+        }
+        let (left, right) = (node.order_prev, node.order_next);
+        if left != NONE {
+            self.node_mut(left).order_next = right;
+        } else {
+            self.head = right;
+        }
+        if right != NONE {
+            self.node_mut(right).order_prev = left;
+        } else {
+            self.tail = left;
+        }
+        node
+    }
+
+    /// [`Dag::detach`]es node `id` and bridges each of its wire chains over
+    /// it — the inverse of one insertion, used by [`Dag::rollback`].
+    fn unlink(&mut self, id: usize, touched: &mut WireSet) {
+        let node = self.detach(id, touched);
+        for (&q, &(p, s)) in node.inst.qubits.iter().zip(&node.wires) {
+            if p != NONE {
+                self.set_wire_succ(p, q, s);
+            }
+            if s != NONE {
+                self.set_wire_pred(s, q, p);
+            }
+        }
+    }
+
+    /// Puts `node` back into empty slot `id` between the order and wire
+    /// neighbours its own links name — the inverse of [`Dag::unlink`],
+    /// valid when those neighbours are adjacent again.
+    fn relink(&mut self, id: usize, node: Node, touched: &mut WireSet) {
+        let classes = instruction_classes(&node.inst);
+        for &q in &node.inst.qubits {
+            touched.insert(q);
+            bump_classes(&mut self.wire_classes[q], classes, 1);
+        }
+        let (left, right) = (node.order_prev, node.order_next);
+        if left != NONE {
+            self.node_mut(left).order_next = id;
+        } else {
+            self.head = id;
+        }
+        if right != NONE {
+            self.node_mut(right).order_prev = id;
+        } else {
+            self.tail = id;
+        }
+        for (&q, &(p, s)) in node.inst.qubits.iter().zip(&node.wires) {
+            if p != NONE {
+                self.set_wire_succ(p, q, id);
+            }
+            if s != NONE {
+                self.set_wire_pred(s, q, id);
+            }
+        }
+        debug_assert!(self.slots[id].is_none(), "relink into a live slot");
+        self.slots[id] = Some(node);
+        self.len += 1;
+    }
+
+    /// Opens a checkpoint: from here on [`Dag::apply`] and
+    /// [`Dag::replace_all`] journal what they change, until the returned
+    /// mark is committed or rolled back. Checkpoints nest. O(1).
+    pub fn checkpoint(&mut self) -> Mark {
+        self.open_marks += 1;
+        Mark {
+            at: self.journal.len(),
+            depth: self.open_marks,
+        }
+    }
+
+    /// Keeps every edit made since `mark`. Closing the outermost checkpoint
+    /// drops the journal (and with it the removed nodes); an inner one
+    /// leaves its records for the enclosing checkpoint to roll back. The
+    /// generation is untouched. Closing a mark also closes every
+    /// checkpoint opened after it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mark` was already closed (directly or by closing an
+    /// earlier mark).
+    pub fn commit(&mut self, mark: Mark) {
+        self.close(&mark);
+        if self.open_marks == 0 {
+            self.journal.clear();
+        }
+    }
+
+    /// Undoes every edit made since `mark`, newest first, restoring the
+    /// node ids, links, free list, width and census exactly as they were
+    /// when the checkpoint was taken. Costs O(edits since the mark). The
+    /// generation then moves *forward* by one and every wire the undone
+    /// edits touched is stamped with it, so no analysis cached in between
+    /// can pass for current. Closing a mark also closes every checkpoint
+    /// opened after it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mark` was already closed (directly or by closing an
+    /// earlier mark).
+    pub fn rollback(&mut self, mark: Mark) {
+        self.close(&mark);
+        let mut touched = WireSet::empty(self.num_qubits);
+        while self.journal.len() > mark.at {
+            let undo = self.journal.pop().expect("records above the mark");
+            self.undo(undo, &mut touched);
+        }
+        self.generation += 1;
+        for q in touched.iter().filter(|&q| q < self.num_qubits) {
+            self.wire_gen[q] = self.generation;
+        }
+    }
+
+    fn close(&mut self, mark: &Mark) {
+        assert!(
+            mark.depth <= self.open_marks && mark.at <= self.journal.len(),
+            "checkpoint already closed"
+        );
+        self.open_marks = mark.depth - 1;
+    }
+
+    fn undo(&mut self, undo: Undo, touched: &mut WireSet) {
+        match undo {
+            Undo::Splice {
+                id,
+                node,
+                inserted,
+                slab_len,
+            } => {
+                // Newest insertion first, so each id goes back where
+                // `alloc` found it: pushed slots come off the slab's end,
+                // recycled ids return to the free list in order.
+                for &n in inserted.iter().rev() {
+                    self.unlink(n, touched);
+                    if n >= slab_len {
+                        debug_assert_eq!(n + 1, self.slots.len());
+                        self.slots.pop();
+                    } else {
+                        self.free.push(n);
+                    }
+                }
+                let freed = self.free.pop();
+                debug_assert_eq!(freed, Some(id), "the splice freed `id` last");
+                self.relink(id, node, touched);
+            }
+            Undo::ReplaceAll {
+                num_qubits,
+                slots,
+                free,
+                len,
+                head,
+                tail,
+                wire_classes,
+            } => {
+                self.num_qubits = num_qubits;
+                self.slots = slots;
+                self.free = free;
+                self.len = len;
+                self.head = head;
+                self.tail = tail;
+                self.wire_classes = wire_classes;
+                self.wire_gen.resize(num_qubits, 0);
+                for q in 0..num_qubits {
+                    touched.insert(q);
+                }
+            }
+        }
     }
 
     /// Replaces the whole node stream (and possibly the width) — the tool
     /// of structural passes like layout application and routing that
     /// reconstruct the circuit rather than rewrite nodes in place. Touches
-    /// every wire.
+    /// every wire. With a checkpoint open, the old slab moves into the
+    /// journal (O(1)) instead of being dropped.
     pub fn replace_all(&mut self, num_qubits: usize, nodes: Vec<Instruction>) -> ChangeReport {
         let rewrites = self.len.max(nodes.len()).max(1);
         let relink_nodes = nodes.len();
+        if self.open_marks > 0 {
+            self.journal.push(Undo::ReplaceAll {
+                num_qubits: self.num_qubits,
+                slots: std::mem::take(&mut self.slots),
+                free: std::mem::take(&mut self.free),
+                len: self.len,
+                head: self.head,
+                tail: self.tail,
+                wire_classes: std::mem::take(&mut self.wire_classes),
+            });
+        }
         self.num_qubits = num_qubits;
         self.rebuild(nodes);
         self.generation += 1;
@@ -1429,6 +1682,117 @@ mod tests {
         assert_eq!(conversion_counts(), (1, 1));
         reset_conversion_counts();
         assert_eq!(conversion_counts(), (0, 0));
+    }
+
+    /// Applies `edit` under `catch_unwind` (no checkpoint open) and asserts
+    /// it was rejected with the DAG left exactly as it was.
+    fn assert_rejected_untouched(dag: &mut Dag, edit: DagEdit, expect: &str) {
+        let before = dag.to_circuit();
+        let (gen, ids, free) = (dag.generation(), order(dag), dag.free_ids().to_vec());
+        let hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| dag.apply(edit)));
+        std::panic::set_hook(hook);
+        let payload = outcome.expect_err("the edit must be rejected");
+        let msg = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default();
+        assert!(msg.contains(expect), "panic message {msg:?}");
+        dag.check_invariants().unwrap();
+        assert_eq!(dag.to_circuit(), before);
+        assert_eq!(order(dag), ids);
+        assert_eq!(dag.free_ids(), free);
+        assert_eq!(dag.generation(), gen);
+    }
+
+    /// A 3-qubit DAG with one freed id, so "dead" and "out of range" differ.
+    fn dag_with_a_dead_node() -> Dag {
+        let mut c = Circuit::new(3);
+        c.h(0).cx(0, 1).t(1).cx(1, 2).h(2);
+        let mut dag = Dag::from_circuit(&c);
+        let mut edit = DagEdit::new();
+        edit.remove(4);
+        dag.apply(edit);
+        dag
+    }
+
+    #[test]
+    fn apply_rejects_dead_and_out_of_range_ids_atomically() {
+        for bad in [4, 99] {
+            let mut dag = dag_with_a_dead_node();
+            let mut edit = DagEdit::new();
+            edit.replace(0, vec![Instruction::new(Gate::X, vec![0])]);
+            edit.remove(2);
+            edit.remove(bad);
+            assert_rejected_untouched(&mut dag, edit, "dead or out of range");
+        }
+    }
+
+    #[test]
+    fn apply_rejects_duplicate_ids_atomically() {
+        let mut dag = dag_with_a_dead_node();
+        let mut edit = DagEdit::new();
+        edit.remove(1);
+        edit.replace(3, vec![Instruction::new(Gate::H, vec![2])]);
+        edit.remove(1);
+        assert_rejected_untouched(&mut dag, edit, "edited twice");
+    }
+
+    #[test]
+    fn apply_rejects_out_of_range_replacement_qubits_atomically() {
+        let mut dag = dag_with_a_dead_node();
+        let mut edit = DagEdit::new();
+        edit.remove(0);
+        edit.replace(
+            2,
+            vec![
+                Instruction::new(Gate::T, vec![1]),
+                Instruction::new(Gate::Cx, vec![1, 3]),
+            ],
+        );
+        assert_rejected_untouched(&mut dag, edit, "replacement qubit 3 out of range");
+    }
+
+    #[test]
+    fn rollback_stamps_restored_wires_with_a_new_generation() {
+        let mut c = Circuit::new(3);
+        c.h(0).cx(0, 1).t(1).cx(1, 2);
+        let mut dag = Dag::from_circuit(&c);
+        let before = dag.clone();
+        let mark = dag.checkpoint();
+        let mut edit = DagEdit::new();
+        edit.remove(2);
+        edit.replace(
+            0,
+            vec![
+                Instruction::new(Gate::X, vec![0]),
+                Instruction::new(Gate::H, vec![2]),
+            ],
+        );
+        dag.apply(edit);
+        let gen_edited = dag.generation();
+        dag.rollback(mark);
+        dag.check_invariants().unwrap();
+        assert_eq!(order(&dag), order(&before));
+        assert_eq!(dag.free_ids(), before.free_ids());
+        assert_eq!(dag.capacity(), before.capacity());
+        assert_eq!(dag.to_circuit(), c);
+        assert_eq!(dag.generation(), gen_edited + 1);
+        // Every wire the undone edit touched is stamped with the rollback.
+        for q in 0..3 {
+            assert_eq!(dag.wire_gen(q), dag.generation());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "checkpoint already closed")]
+    fn closing_an_outer_mark_closes_inner_ones() {
+        let mut dag = Dag::from_circuit(&Circuit::new(1));
+        let outer = dag.checkpoint();
+        let inner = dag.checkpoint();
+        dag.rollback(outer);
+        dag.commit(inner);
     }
 
     #[test]

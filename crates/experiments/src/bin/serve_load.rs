@@ -361,12 +361,23 @@ fn run_in_process(args: &Args) -> i32 {
 
     if let Some(path) = &args.json {
         let mut out = String::from("[\n");
+        // The mixed-phase figures depend on the client thread count, so
+        // their names carry it: one baseline file then gates every
+        // `--threads` setting against its own numbers.
         let entries = [
-            (cold.name, cold.median(), cold.threads),
-            (warm.name, warm.median(), warm.threads),
-            (edited.name, edited.median(), edited.threads),
-            ("serve_throughput_mixed", throughput_ns, args.threads),
-            (mixed.name, mixed.p99(), mixed.threads),
+            (cold.name.to_string(), cold.median(), cold.threads),
+            (warm.name.to_string(), warm.median(), warm.threads),
+            (edited.name.to_string(), edited.median(), edited.threads),
+            (
+                format!("serve_throughput_mixed_{}t", args.threads),
+                throughput_ns,
+                args.threads,
+            ),
+            (
+                format!("{}_{}t", mixed.name, mixed.threads),
+                mixed.p99(),
+                mixed.threads,
+            ),
         ];
         for (i, (name, ns, threads)) in entries.iter().enumerate() {
             let comma = if i + 1 == entries.len() { "" } else { "," };

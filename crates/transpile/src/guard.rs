@@ -2,12 +2,14 @@
 //!
 //! The failure model of the transpile stack: a pass that panics, returns
 //! an error, or corrupts the DAG must never take the whole compilation
-//! down with it. [`PassGuard`] runs every [`DagPass`] against a pre-pass
-//! checkpoint under [`std::panic::catch_unwind`]; a failing pass is rolled
-//! back and **quarantined** (skipped for the rest of the run), and the
-//! pipeline continues with the remaining passes. The caller always gets
-//! either a typed [`RpoError`] or a valid, semantics-preserving circuit —
-//! plus a [`DegradationReport`] saying exactly what was contained.
+//! down with it. [`PassGuard`] runs every [`DagPass`] under
+//! [`std::panic::catch_unwind`] inside a [`Dag::checkpoint`] — the DAG's
+//! undo journal, so the checkpoint costs O(edits of the pass), not a copy
+//! of the circuit. A failing pass is rolled back and **quarantined**
+//! (skipped for the rest of the run), and the pipeline continues with the
+//! remaining passes. The caller always gets either a typed [`RpoError`]
+//! or a valid, semantics-preserving circuit — plus a [`DegradationReport`]
+//! saying exactly what was contained.
 //!
 //! [`TranspileBudget`] adds cooperative resource ceilings. The *graceful*
 //! dimensions — wall-clock deadline and fixed-point iterations — skip
@@ -26,7 +28,7 @@
 //! the guards off the hot path.
 
 use crate::manager::{run_timed, DagPass, PassStats, PropertySet};
-use qc_circuit::{BudgetKind, ChangeReport, Dag, Gate, RpoError, UnitaryAccumulator};
+use qc_circuit::{BudgetKind, ChangeReport, Dag, Gate, Mark, RpoError, UnitaryAccumulator};
 use qc_math::Matrix;
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -460,7 +462,7 @@ impl PassGuard {
         // Budget-aware passes read the deadline from the property set.
         props.insert(BUDGET_KEY, self.snapshot());
         let validate = self.should_validate(label);
-        let checkpoint = dag.clone();
+        let mark = dag.checkpoint();
         let u_before = if validate {
             spot_check_unitary(dag, pass.preserves_unitary())
         } else {
@@ -478,7 +480,7 @@ impl PassGuard {
         }));
         let report = match outcome {
             Err(payload) => {
-                self.rollback(dag, props, checkpoint);
+                self.rollback(dag, props, mark);
                 self.quarantine(
                     label,
                     format!("panicked: {}", panic_message(payload.as_ref())),
@@ -486,7 +488,7 @@ impl PassGuard {
                 return Ok(GuardedRun::Skipped);
             }
             Ok(Err(e)) => {
-                self.rollback(dag, props, checkpoint);
+                self.rollback(dag, props, mark);
                 self.quarantine(label, e.to_string());
                 return Ok(GuardedRun::Skipped);
             }
@@ -494,22 +496,23 @@ impl PassGuard {
         };
         if validate {
             if let Err(why) = validate_dag(dag, u_before.as_ref()) {
-                self.rollback(dag, props, checkpoint);
+                self.rollback(dag, props, mark);
                 self.quarantine(label, format!("post-pass validation failed: {why}"));
                 return Ok(GuardedRun::Skipped);
             }
         }
+        dag.commit(mark);
         self.check_gates(dag)?;
         Ok(GuardedRun::Ran(report))
     }
 
-    /// Restores the checkpoint and drops every cached analysis. The cache
-    /// clear is load-bearing: the rollback rewinds the DAG's generation
-    /// counter, so a later edit could reach an already-cached generation
-    /// number with different content — a stale-cache hit waiting to
-    /// happen.
-    fn rollback(&mut self, dag: &mut Dag, props: &mut PropertySet, checkpoint: Dag) {
-        *dag = checkpoint;
+    /// Undoes the failed pass's edits from the DAG's journal and drops
+    /// every cached analysis. The rollback moves the generation forward
+    /// and stamps every wire it restored, so no cached entry could pass
+    /// for current anyway; the clear is kept because rollbacks happen only
+    /// on failure, where a recompute costs nothing that matters.
+    fn rollback(&mut self, dag: &mut Dag, props: &mut PropertySet, mark: Mark) {
+        dag.rollback(mark);
         props.clear();
     }
 }
@@ -742,6 +745,7 @@ mod tests {
         let mut c = Circuit::new(2);
         c.h(0).cx(0, 1).t(1);
         let mut dag = Dag::from_circuit(&c);
+        let gen = dag.generation();
         let hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
         let (_, report) = guarded(&MutateThenPanic, &mut dag);
@@ -749,6 +753,10 @@ mod tests {
         assert!(report.is_quarantined("MutateThenPanic"));
         assert_eq!(dag.len(), 3, "mutation must be rolled back");
         assert_eq!(dag.to_circuit(), c);
+        assert!(
+            dag.generation() > gen,
+            "a rollback never rewinds generations"
+        );
     }
 
     #[test]

@@ -109,7 +109,10 @@ pub trait DagPass {
         PassInterest::all_wires()
     }
 
-    /// Mutates the DAG in place, reporting what changed.
+    /// Mutates the DAG in place, reporting what changed. Mutations go
+    /// through [`Dag::apply`] and [`Dag::replace_all`], never by assigning
+    /// a new `Dag`: the guard rolls a failed pass back from the DAG's own
+    /// journal.
     ///
     /// # Errors
     ///

@@ -11,8 +11,11 @@
 # The bound is deliberately loose: shared CI runners are noisy, and the
 # gate exists to catch *algorithmic* cliffs (a kernel falling off its fast
 # path, a planner suddenly emitting an order of magnitude more sweeps), not
-# single-digit-percent drift. Benchmarks present in only one of the two
-# files (newly added or filtered out) are reported but never fail the gate.
+# single-digit-percent drift. A candidate benchmark with no baseline entry
+# fails the gate: an entry nobody committed a number for would otherwise
+# pass unchecked forever, so a new benchmark lands together with its
+# baseline. Baseline entries the candidate lacks (a filtered run) are
+# reported but do not fail.
 set -euo pipefail
 
 CANDIDATE="${1:?usage: bench_check.sh <candidate.json> [baseline.json] [factor]}"
@@ -61,7 +64,10 @@ awk -v factor="$FACTOR" -v baseline="$BASELINE" -v candidate="$CANDIDATE" '
         for (i = 1; i <= n; i++) {
             name = names[i]
             if (!(name in base)) {
-                printf "%-45s %14s %14.1f %7s\n", name, "(new)", cand[name], "-"
+                fail = 1
+                printf "%-45s %14s %14.1f %7s  << NO BASELINE\n", name, "(none)", cand[name], "-"
+                offenders[++noff] = sprintf("  %s: no entry in %s (commit a measured baseline)", \
+                                            name, baseline)
                 continue
             }
             ratio = base[name] > 0 ? cand[name] / base[name] : 1
@@ -80,7 +86,7 @@ awk -v factor="$FACTOR" -v baseline="$BASELINE" -v candidate="$CANDIDATE" '
             }
         }
         if (fail) {
-            printf "\nbench_check: FAIL — regression beyond %sx vs %s\n", factor, baseline
+            printf "\nbench_check: FAIL — missing baseline or regression beyond %sx vs %s\n", factor, baseline
             for (i = 1; i <= noff; i++) print offenders[i]
             exit 1
         }
