@@ -1,4 +1,5 @@
-//! Ablation benches for the design choices called out in DESIGN.md:
+//! Ablation benches for the RPO pipeline's design choices (the
+//! `RpoOptions` switches):
 //!
 //! * early QBO on/off — the paper attributes RPO's *time* advantage to the
 //!   first QBO shrinking work for every later pass;

@@ -251,6 +251,16 @@ fn bench_kernels(c: &mut Criterion) {
                 .unwrap()
         })
     });
+    c.bench_function("transpile_hoare_qv20", |b| {
+        b.iter(|| {
+            qc_hoare::transpile_hoare(
+                &qv20,
+                &almaden,
+                &qc_transpile::TranspileOptions::level(3).with_seed(7),
+            )
+            .unwrap()
+        })
+    });
 
     // The guard's fixed cost per pass: a pass that changes nothing, run
     // through `PassGuard::run_pass` on the routed qv20 output (~1.5k

@@ -20,18 +20,15 @@
 use crate::qbo::Qbo;
 use crate::qpo::Qpo;
 use qc_backends::Backend;
-use qc_circuit::{Circuit, Dag};
-use qc_transpile::guard::{catch_stage, run_stage, PassGuard};
-use qc_transpile::manager::{FixedPointLoop, PassStats, PropertySet};
+use qc_circuit::Circuit;
+use qc_transpile::manager::PassStats;
 use qc_transpile::optimize_1q::Optimize1qGates;
-use qc_transpile::preset::{
-    dag_stage_layout, dag_stage_route_budgeted, fixpoint_passes, Transpiled,
-};
 #[cfg(any(test, feature = "reference-oracles"))]
 use qc_transpile::preset::{
     stage_fixpoint_loop, stage_layout, stage_optimize_1q, stage_route, stage_unroll_device,
     stage_unroll_extended,
 };
+use qc_transpile::preset::{GuardedPipeline, Transpiled};
 use qc_transpile::unroll::Unroller;
 #[cfg(any(test, feature = "reference-oracles"))]
 use qc_transpile::Pass;
@@ -159,137 +156,38 @@ pub fn transpile_rpo_instrumented(
     } else {
         Qpo::without_block_optimization()
     };
-    let mut guard = PassGuard::new(opts.base.budget).with_predisabled(opts.base.disabled_passes);
-    guard.check_qubits(circuit.num_qubits())?;
-    qc_transpile::preset::validate_input(circuit)?;
-    // The single circuit→dag conversion of the pipeline.
-    let mut dag = Dag::from_circuit(circuit);
-    guard.check_gates(&dag)?;
-    let mut props = PropertySet::new();
-    let mut stats: Vec<PassStats> = Vec::new();
+    let mut p = GuardedPipeline::new(circuit, &opts.base)?;
     // 1: early QBO on the abstract circuit (sees ccx/mcx/cswap intact).
     // QBO/QPO are optional optimization stages: skipped past the deadline,
     // quarantined on failure — the rest of the pipeline still produces a
     // device-ready circuit.
     if opts.enable_qbo && opts.early_qbo {
-        run_stage(
-            &mut guard,
-            "QBO(early)",
-            &qbo,
-            &mut dag,
-            &mut props,
-            &mut stats,
-            true,
-        )?;
+        p.stage("QBO(early)", &qbo, true)?;
     }
     // 2: unroll to the device basis (mandatory).
-    run_stage(
-        &mut guard,
-        "Unroller(device)",
-        &Unroller::to_device_basis(),
-        &mut dag,
-        &mut props,
-        &mut stats,
-        false,
-    )?;
-    // 3: layout (dense, as in level 3).
-    let layout = catch_stage("layout", || dag_stage_layout(&mut dag, backend, 3))?;
-    // 4: routing (inserts SWAP gates; extra trials skipped past deadline).
-    let snapshot = guard.snapshot();
-    let (wire_map, trials_run) = catch_stage("routing", || {
-        dag_stage_route_budgeted(
-            &mut dag,
-            backend,
-            opts.base.seed,
-            opts.base.routing_trials,
-            snapshot,
-        )
-    })?;
-    if trials_run < opts.base.routing_trials.max(1) {
-        guard.note_deadline("routing trials");
-    }
-    guard.check_gates(&dag)?;
+    p.stage("Unroller(device)", &Unroller::to_device_basis(), false)?;
+    // 3–4: layout (dense, as in level 3) and routing (inserts SWAP gates;
+    // extra trials skipped past deadline).
+    let final_map = p.map_to_device(backend, 3, opts.base.seed, opts.base.routing_trials)?;
     // 5: QBO again — the inserted SWAPs meet ancilla/ground-state wires.
     if opts.enable_qbo {
-        run_stage(
-            &mut guard,
-            "QBO(post-route)",
-            &qbo,
-            &mut dag,
-            &mut props,
-            &mut stats,
-            true,
-        )?;
+        p.stage("QBO(post-route)", &qbo, true)?;
     }
     // 6: unroll keeping swap/swapz visible to QPO (mandatory: swaps must
     // not survive to the device).
-    run_stage(
-        &mut guard,
-        "Unroller(extended)",
-        &Unroller::to_extended_basis(),
-        &mut dag,
-        &mut props,
-        &mut stats,
-        false,
-    )?;
+    p.stage("Unroller(extended)", &Unroller::to_extended_basis(), false)?;
     // 7: merge single-qubit runs so QPO sees clean u-gates.
-    run_stage(
-        &mut guard,
-        "Optimize1qGates",
-        &Optimize1qGates,
-        &mut dag,
-        &mut props,
-        &mut stats,
-        true,
-    )?;
+    p.stage("Optimize1qGates", &Optimize1qGates, true)?;
     // 8: QPO.
     if opts.enable_qpo {
-        run_stage(
-            &mut guard, "QPO", &qpo, &mut dag, &mut props, &mut stats, true,
-        )?;
+        p.stage("QPO", &qpo, true)?;
     }
     // 9: the level-3 fixed-point loop (consolidation included), after
     // lowering any remaining swap/swapz to CNOTs (mandatory).
-    run_stage(
-        &mut guard,
-        "Unroller(device)",
-        &Unroller::to_device_basis(),
-        &mut dag,
-        &mut props,
-        &mut stats,
-        false,
-    )?;
-    run_stage(
-        &mut guard,
-        "Optimize1qGates",
-        &Optimize1qGates,
-        &mut dag,
-        &mut props,
-        &mut stats,
-        true,
-    )?;
-    let mut fp = FixedPointLoop::new(fixpoint_passes(true), dag.num_qubits());
-    if !opts.base.interest_filtering {
-        fp = fp.without_interest_filtering();
-    }
-    fp.run_guarded(&mut dag, &mut props, 10, &mut guard)?;
-    stats.extend(fp.stats);
-    if guard.deadline_exceeded() {
-        // Record the overrun even when no pass was individually skipped
-        // (e.g. the last pass itself blew the deadline).
-        guard.note_deadline("pipeline end");
-    }
-    let final_map = layout.iter().map(|&w| wire_map[w]).collect();
-    // The single dag→circuit conversion of the pipeline.
-    let c = dag.to_circuit();
-    Ok((
-        Transpiled {
-            circuit: c,
-            final_map,
-            degradation: guard.into_report(),
-        },
-        stats,
-    ))
+    p.stage("Unroller(device)", &Unroller::to_device_basis(), false)?;
+    p.stage("Optimize1qGates", &Optimize1qGates, true)?;
+    p.fixpoint(true)?;
+    Ok(p.finish(final_map))
 }
 
 /// The pre-refactor [`transpile_rpo`]: circuit-cloning stages and the

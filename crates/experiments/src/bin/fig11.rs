@@ -2,7 +2,11 @@
 //! success rates, level 3 vs RPO. The paper measures success-rate
 //! improvements of 2.94×/2.69×/1.53× (geometric mean 2.30×) from the CNOT
 //! reduction alone; here the devices are the fake backends driving a
-//! Monte-Carlo depolarizing+readout simulation (see DESIGN.md).
+//! Monte-Carlo depolarizing+readout simulation (`qc_sim::noise`: a Pauli
+//! error after each gate with the backend's average 1q/2q rates, and a
+//! readout bit flip per measured qubit). The simulated ratios therefore
+//! track the CNOT and gate-count reductions, not the real devices'
+//! crosstalk or per-qubit calibration.
 
 use qc_algos::{qpe, qpe_expected_outcome};
 use qc_backends::Backend;

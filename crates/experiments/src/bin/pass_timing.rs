@@ -3,16 +3,19 @@
 //! reports how often it ran, how often the change tracking skipped it as
 //! clean, how many node rewrites it performed, and its wall time.
 //!
-//! Emits a markdown table to stdout for two workloads: a 20-qubit
-//! quantum-volume circuit through preset level 3 and through the
-//! RPO-extended pipeline (the same circuits as the `transpile_level3_qv20`
-//! / `transpile_rpo_qv20` benches). A third section aggregates per-pass
+//! Emits a markdown table to stdout for the paper's three flows on one
+//! workload: a 20-qubit quantum-volume circuit through preset level 3,
+//! through level 3 with the Hoare pass appended, and through the
+//! RPO-extended pipeline (the same circuits as the
+//! `transpile_level3_qv20` / `transpile_hoare_qv20` / `transpile_rpo_qv20`
+//! benches). A third section aggregates per-pass
 //! totals — including quarantine counts — across a whole `qc-serve` run,
 //! the fleet-wide view the drain report is built from.
 
 use qc_algos::quantum_volume_with_depth;
 use qc_backends::Backend;
 use qc_circuit::Circuit;
+use qc_hoare::transpile_hoare_instrumented;
 use qc_serve::{PassTotals, ServeConfig, ServeFlow, ServeRequest, TranspileService};
 use qc_transpile::manager::PassStats;
 use qc_transpile::preset::transpile_instrumented;
@@ -133,6 +136,11 @@ fn main() {
         transpile_instrumented(&qv20, &backend, &TranspileOptions::level(3).with_seed(7))
             .expect("level-3 transpile");
     print_table("Preset level 3", &stats);
+
+    let (_, stats) =
+        transpile_hoare_instrumented(&qv20, &backend, &TranspileOptions::level(3).with_seed(7))
+            .expect("Hoare transpile");
+    print_table("Level 3 + Hoare", &stats);
 
     let (_, stats) = transpile_rpo_instrumented(&qv20, &backend, &RpoOptions::new().with_seed(7))
         .expect("RPO transpile");

@@ -7,25 +7,31 @@
 //! benchmark circuits those conditions are decidable by direct forward
 //! propagation of *classical* Z-basis predicates — a qubit is known-|0⟩,
 //! known-|1⟩, or unknown — so this reimplementation substitutes a
-//! propagation engine for the SMT solver (see DESIGN.md for the
-//! substitution argument). The rewrites it can find are exactly the
-//! Z-basis subset of QBO's, matching the paper's observation that "all the
-//! gates that are optimized by the hoare logic pass can be captured by our
-//! RPO pass" (Section VIII-B).
+//! propagation engine for the SMT solver. This is a substitution, not an
+//! equivalence: a solver can also prove conditions that relate unknown
+//! qubits to each other (say, two wires provably equal), which forward
+//! propagation cannot. What the engine does find is exactly the Z-basis
+//! subset of QBO's rewrites, matching the paper's observation that "all
+//! the gates that are optimized by the hoare logic pass can be captured by
+//! our RPO pass" (Section VIII-B).
 //!
-//! Like the original, the pass also *simulates* solver effort: the Qiskit
-//! implementation grows markedly slower on larger circuits because every
-//! gate incurs solver queries. We do not fake timings — the Rust engine is
-//! simply fast — so transpile-time comparisons against this baseline are
-//! reported with that caveat in EXPERIMENTS.md.
+//! The engine is linear in the circuit, where the Qiskit pass issues
+//! solver queries per gate and grows markedly slower on larger circuits.
+//! Transpile times of this baseline are therefore not comparable to the
+//! paper's Hoare timings; only its gate counts are.
+//!
+//! [`transpile_hoare`] runs the paper's flow — level 3 with this pass
+//! appended — on the guarded DAG driver shared with the other two flows
+//! ([`qc_transpile::preset::GuardedPipeline`]).
 
 use qc_backends::Backend;
-use qc_circuit::{Circuit, Gate, Instruction};
-use qc_transpile::preset::{
-    stage_fixpoint_loop, stage_layout, stage_optimize_1q, stage_route, stage_unroll_device,
-    Transpiled,
+use qc_circuit::{ChangeReport, Circuit, Dag, DagEdit, Gate, Instruction};
+use qc_transpile::optimize_1q::Optimize1qGates;
+use qc_transpile::preset::{GuardedPipeline, Transpiled};
+use qc_transpile::{
+    DagPass, Pass, PassInterest, PassStats, PropertySet, TranspileError, TranspileOptions,
 };
-use qc_transpile::{Pass, TranspileError, TranspileOptions};
+use std::collections::VecDeque;
 
 /// Classical knowledge about one qubit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -200,18 +206,33 @@ fn diag_residual(g: &Gate) -> Gate {
     }
 }
 
-impl Pass for HoareOptimizer {
-    fn name(&self) -> &'static str {
-        "HoareOptimizer"
-    }
-
-    fn run(&self, circuit: &mut Circuit) -> Result<(), TranspileError> {
-        let mut st = vec![Classical::Value(false); circuit.num_qubits()];
-        let mut out: Vec<Instruction> = Vec::with_capacity(circuit.len());
-        for inst in circuit.instructions() {
-            let mut queue = std::collections::VecDeque::new();
-            queue.push_back(inst.clone());
-            let mut budget = 64usize;
+impl HoareOptimizer {
+    /// Runs the propagation-driven rewrite over an instruction stream,
+    /// returning the final expansion of each input instruction — `None`
+    /// when the instruction is kept untouched, `Some(insts)` (possibly
+    /// empty) when a rewrite chain fired. The shared core of the
+    /// circuit-level and DAG-native drivers.
+    ///
+    /// # Errors
+    ///
+    /// Fails when a rewrite chain does not terminate (a bug).
+    fn expand_stream<'a>(
+        insts: impl Iterator<Item = &'a Instruction>,
+        num_qubits: usize,
+    ) -> Result<Vec<Option<Vec<Instruction>>>, TranspileError> {
+        let mut st = vec![Classical::Value(false); num_qubits];
+        let mut out: Vec<Option<Vec<Instruction>>> = Vec::new();
+        for inst in insts {
+            // Most gates are not rewritten: keep them without a copy.
+            let Some(first) = Self::rewrite(inst, &st) else {
+                Self::transition(&mut st, &inst.gate, &inst.qubits);
+                out.push(None);
+                continue;
+            };
+            let mut queue: VecDeque<Instruction> = first.into();
+            // 64 rewrite steps per input gate, the first one spent above.
+            let mut budget = 63usize;
+            let mut kept: Vec<Instruction> = Vec::new();
             while let Some(cur) = queue.pop_front() {
                 if budget == 0 {
                     return Err(TranspileError::Internal(
@@ -227,9 +248,28 @@ impl Pass for HoareOptimizer {
                     }
                     None => {
                         Self::transition(&mut st, &cur.gate, &cur.qubits);
-                        out.push(cur);
+                        kept.push(cur);
                     }
                 }
+            }
+            out.push(Some(kept));
+        }
+        Ok(out)
+    }
+}
+
+impl Pass for HoareOptimizer {
+    fn name(&self) -> &'static str {
+        "HoareOptimizer"
+    }
+
+    fn run(&self, circuit: &mut Circuit) -> Result<(), TranspileError> {
+        let expansions = Self::expand_stream(circuit.instructions().iter(), circuit.num_qubits())?;
+        let mut out: Vec<Instruction> = Vec::with_capacity(circuit.len());
+        for (inst, exp) in circuit.instructions().iter().zip(expansions) {
+            match exp {
+                None => out.push(inst.clone()),
+                Some(kept) => out.extend(kept),
             }
         }
         circuit.set_instructions(out);
@@ -237,11 +277,47 @@ impl Pass for HoareOptimizer {
     }
 }
 
+impl DagPass for HoareOptimizer {
+    fn name(&self) -> &'static str {
+        "HoareOptimizer"
+    }
+
+    fn preserves_unitary(&self) -> bool {
+        // The rewrites are relaxed: they preserve behaviour from the
+        // all-|0⟩ input only, so the guard must not spot-check the matrix.
+        false
+    }
+
+    fn interest(&self) -> PassInterest {
+        // Classical values flow along wires (and across them through CX
+        // and SWAP): a gate far upstream enables or disables a rewrite.
+        PassInterest::all_wires()
+    }
+
+    fn run_on_dag(
+        &self,
+        dag: &mut Dag,
+        _props: &mut PropertySet,
+    ) -> Result<ChangeReport, TranspileError> {
+        let ids: Vec<usize> = dag.iter().map(|(id, _)| id).collect();
+        let expansions = Self::expand_stream(dag.iter().map(|(_, i)| i), dag.num_qubits())?;
+        let mut edit = DagEdit::new();
+        for (id, exp) in ids.into_iter().zip(expansions) {
+            if let Some(kept) = exp {
+                edit.replace(id, kept);
+            }
+        }
+        Ok(dag.apply(edit))
+    }
+}
+
 /// Level-3 transpilation with the Hoare pass appended — the paper's
 /// `hoare` comparison column ("we append the hoare logic pass to the level
 /// 3 pass manager"). Exactly as in the paper, the pass runs *after* the
 /// full level-3 pipeline, on unrolled, routed gates; it therefore only ever
-/// sees `u`-gates, CNOTs and the decomposed routing SWAPs.
+/// sees `u`-gates, CNOTs and the decomposed routing SWAPs. The level is
+/// fixed at 3 whatever `opts.level` says; the budget, pre-disabled passes
+/// and interest filtering apply as in [`qc_transpile::transpile`].
 ///
 /// # Errors
 ///
@@ -251,30 +327,37 @@ pub fn transpile_hoare(
     backend: &Backend,
     opts: &TranspileOptions,
 ) -> Result<Transpiled, TranspileError> {
-    let pass = HoareOptimizer::new();
-    let mut c = circuit.clone();
-    stage_unroll_device(&mut c)?;
-    let layout = stage_layout(&mut c, backend, 3)?;
-    let wire_map = stage_route(&mut c, backend, opts.seed, opts.routing_trials)?;
-    stage_unroll_device(&mut c)?;
-    stage_optimize_1q(&mut c)?;
-    stage_fixpoint_loop(&mut c, true)?;
-    // The appended Hoare pass, plus the cleanup its removals enable.
-    pass.run(&mut c)?;
-    stage_optimize_1q(&mut c)?;
-    stage_fixpoint_loop(&mut c, true)?;
-    let final_map = layout.iter().map(|&w| wire_map[w]).collect();
-    Ok(Transpiled {
-        circuit: c,
-        final_map,
-        degradation: qc_transpile::DegradationReport::default(),
-    })
+    transpile_hoare_instrumented(circuit, backend, opts).map(|(t, _)| t)
+}
+
+/// [`transpile_hoare`] with per-pass execution statistics. One guarded
+/// DAG run: the level-3 pipeline, then the optional `HoareOptimizer`
+/// stage, `Optimize1qGates` and a fresh level-3 fixed-point loop for the
+/// cleanup the removals enable.
+///
+/// # Errors
+///
+/// Same failure modes as [`transpile_hoare`].
+pub fn transpile_hoare_instrumented(
+    circuit: &Circuit,
+    backend: &Backend,
+    opts: &TranspileOptions,
+) -> Result<(Transpiled, Vec<PassStats>), TranspileError> {
+    let mut p = GuardedPipeline::new(circuit, &TranspileOptions { level: 3, ..*opts })?;
+    let final_map = p.run_preset(backend)?;
+    p.stage("HoareOptimizer", &HoareOptimizer, true)?;
+    p.stage("Optimize1qGates", &Optimize1qGates, true)?;
+    p.fixpoint(true)?;
+    Ok(p.finish(final_map))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qc_circuit::BudgetKind;
     use qc_sim::same_output_state;
+    use qc_transpile::{PassSet, TranspileBudget};
+    use std::time::Duration;
 
     fn hoare(c: &Circuit) -> Circuit {
         let mut out = c.clone();
@@ -372,6 +455,114 @@ mod tests {
         let out = hoare(&c);
         assert_eq!(out.gate_counts().cx, 0);
         assert_eq!(out.count_name("x"), 2);
+    }
+
+    /// A routed, multi-iteration workload: six qubits of entangling mesh
+    /// on melbourne.
+    fn mesh() -> Circuit {
+        let mut c = Circuit::new(6);
+        for i in 0..6 {
+            c.h(i).t(i);
+        }
+        for i in 0..6 {
+            for j in i + 1..6 {
+                c.cx(i, j).rz(0.1 * (i + j) as f64, j);
+            }
+        }
+        c
+    }
+
+    #[test]
+    fn hoare_flow_converts_once_each_way() {
+        qc_circuit::reset_conversion_counts();
+        transpile_hoare(&mesh(), &Backend::melbourne(), &TranspileOptions::level(3)).unwrap();
+        assert_eq!(qc_circuit::conversion_counts(), (1, 1));
+    }
+
+    #[test]
+    fn instrumented_flow_reports_the_hoare_stage() {
+        let (out, stats) = transpile_hoare_instrumented(
+            &mesh(),
+            &Backend::melbourne(),
+            &TranspileOptions::level(3),
+        )
+        .unwrap();
+        assert!(out.degradation.is_clean(), "{:?}", out.degradation);
+        let hoare: Vec<_> = stats
+            .iter()
+            .filter(|s| s.name == "HoareOptimizer")
+            .collect();
+        assert_eq!(hoare.len(), 1);
+        assert_eq!(hoare[0].runs, 1);
+    }
+
+    #[test]
+    fn zero_deadline_is_reported() {
+        let opts = TranspileOptions::level(3)
+            .with_budget(TranspileBudget::unlimited().with_deadline(Duration::ZERO));
+        let out = transpile_hoare(&mesh(), &Backend::melbourne(), &opts).unwrap();
+        assert!(
+            out.degradation
+                .budget_hits
+                .iter()
+                .any(|h| h.kind == BudgetKind::Deadline),
+            "{:?}",
+            out.degradation
+        );
+    }
+
+    #[test]
+    fn iteration_ceiling_is_reported() {
+        let opts = TranspileOptions::level(3)
+            .with_budget(TranspileBudget::unlimited().with_max_fixpoint_iters(1));
+        let out = transpile_hoare(&mesh(), &Backend::melbourne(), &opts).unwrap();
+        assert!(
+            out.degradation
+                .budget_hits
+                .iter()
+                .any(|h| h.kind == BudgetKind::MaxIterations),
+            "{:?}",
+            out.degradation
+        );
+    }
+
+    #[test]
+    fn gate_ceiling_below_input_is_an_error() {
+        let c = mesh();
+        let opts = TranspileOptions::level(3)
+            .with_budget(TranspileBudget::unlimited().with_max_gates(c.len() - 1));
+        match transpile_hoare(&c, &Backend::melbourne(), &opts) {
+            Err(TranspileError::BudgetExceeded { kind }) => {
+                assert_eq!(kind, BudgetKind::MaxGates)
+            }
+            other => panic!("expected BudgetExceeded, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn disabled_passes_are_honoured() {
+        let mut set = PassSet::empty();
+        set.insert("ConsolidateBlocks");
+        let opts = TranspileOptions::level(3).with_disabled_passes(set);
+        let (out, stats) =
+            transpile_hoare_instrumented(&mesh(), &Backend::melbourne(), &opts).unwrap();
+        assert_eq!(out.degradation.predisabled, vec!["ConsolidateBlocks"]);
+        assert!(stats
+            .iter()
+            .filter(|s| s.name == "ConsolidateBlocks")
+            .all(|s| s.runs == 0 && s.predisabled > 0));
+    }
+
+    #[test]
+    fn interest_filtering_never_changes_output() {
+        let backend = Backend::melbourne();
+        for seed in 0..3 {
+            let opts = TranspileOptions::level(3).with_seed(seed);
+            let a = transpile_hoare(&mesh(), &backend, &opts).unwrap();
+            let b = transpile_hoare(&mesh(), &backend, &opts.without_interest_filtering()).unwrap();
+            assert_eq!(a.circuit, b.circuit, "seed {seed}");
+            assert_eq!(a.final_map, b.final_map, "seed {seed}");
+        }
     }
 
     #[test]

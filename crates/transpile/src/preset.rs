@@ -3,15 +3,17 @@
 //! Mirrors the Qiskit 0.18 preset pass managers the paper describes in
 //! Section II-B: level 0 only maps; level 1 adds light gate collapsing;
 //! level 2 adds cancellation loops; level 3 adds two-qubit block
-//! re-synthesis. The individual stages are public so the RPO pipeline
-//! (crate `rpo-core`) can interleave its QBO/QPO passes per Fig. 8.
+//! re-synthesis. [`GuardedPipeline`] is public so the RPO pipeline (crate
+//! `rpo-core`) can interleave its QBO/QPO passes per Fig. 8, and the
+//! Hoare baseline (crate `qc-hoare`) can append its pass to level 3.
 //!
 //! [`transpile`] is DAG-native: the input circuit converts to the shared
 //! [`Dag`] IR exactly once, every pass mutates it in place, the level-2/3
 //! loop is the change-driven [`FixedPointLoop`], and the result converts
 //! back exactly once. The circuit-based `stage_*` helpers remain for the
 //! retained pre-refactor path ([`crate::reference::transpile_reference`]),
-//! which the property tests use as the gate-for-gate oracle.
+//! which the property tests use as the gate-for-gate oracle, and for the
+//! benchmark's traced replay.
 
 use crate::cancellation::CxCancellation;
 use crate::commutation::CommutativeCancellation;
@@ -290,100 +292,163 @@ pub fn transpile_instrumented(
     backend: &Backend,
     opts: &TranspileOptions,
 ) -> Result<(Transpiled, Vec<PassStats>), TranspileError> {
-    let mut guard = PassGuard::new(opts.budget).with_predisabled(opts.disabled_passes);
-    guard.check_qubits(circuit.num_qubits())?;
-    validate_input(circuit)?;
-    // The single circuit→dag conversion of the pipeline.
-    let mut dag = Dag::from_circuit(circuit);
-    guard.check_gates(&dag)?;
-    let mut props = PropertySet::new();
-    let mut stats: Vec<PassStats> = Vec::new();
-    // Mandatory stages (unrolling, layout, routing) run even past the
-    // deadline: without them there is no hardware-valid circuit at all.
-    run_stage(
-        &mut guard,
-        "Unroller(device)",
-        &Unroller::to_device_basis(),
-        &mut dag,
-        &mut props,
-        &mut stats,
-        false,
-    )?;
-    let layout = catch_stage("layout", || dag_stage_layout(&mut dag, backend, opts.level))?;
-    let snapshot = guard.snapshot();
-    let (wire_map, trials_run) = catch_stage("routing", || {
-        dag_stage_route_budgeted(&mut dag, backend, opts.seed, opts.routing_trials, snapshot)
-    })?;
-    if trials_run < opts.routing_trials.max(1) {
-        guard.note_deadline("routing trials");
+    let mut p = GuardedPipeline::new(circuit, opts)?;
+    let final_map = p.run_preset(backend)?;
+    Ok(p.finish(final_map))
+}
+
+/// One guarded pipeline run in progress: the shared DAG, the guard and
+/// budget every stage runs under, the cached analyses, and the per-pass
+/// statistics collected so far. The preset, Hoare and RPO flows all drive
+/// their stages through it.
+pub struct GuardedPipeline {
+    dag: Dag,
+    guard: PassGuard,
+    props: PropertySet,
+    stats: Vec<PassStats>,
+    opts: TranspileOptions,
+}
+
+impl GuardedPipeline {
+    /// Entry checks (qubit ceiling, input validity, gate ceiling) and the
+    /// pipeline's single circuit→dag conversion. The guard honours
+    /// `opts.budget` and `opts.disabled_passes`; the fixed-point loops
+    /// honour `opts.interest_filtering`; [`GuardedPipeline::run_preset`]
+    /// runs the preset at `opts.level`.
+    ///
+    /// # Errors
+    ///
+    /// [`crate::RpoError::BudgetExceeded`] or
+    /// [`crate::RpoError::InvalidInput`].
+    pub fn new(circuit: &Circuit, opts: &TranspileOptions) -> Result<Self, TranspileError> {
+        let guard = PassGuard::new(opts.budget).with_predisabled(opts.disabled_passes);
+        guard.check_qubits(circuit.num_qubits())?;
+        validate_input(circuit)?;
+        let dag = Dag::from_circuit(circuit);
+        guard.check_gates(&dag)?;
+        Ok(GuardedPipeline {
+            dag,
+            guard,
+            props: PropertySet::new(),
+            stats: Vec::new(),
+            opts: *opts,
+        })
     }
-    guard.check_gates(&dag)?;
-    // Decompose routing SWAPs.
-    run_stage(
-        &mut guard,
-        "Unroller(device)",
-        &Unroller::to_device_basis(),
-        &mut dag,
-        &mut props,
-        &mut stats,
-        false,
-    )?;
-    match opts.level {
-        0 => {}
-        1 => {
-            run_stage(
-                &mut guard,
-                "Optimize1qGates",
-                &Optimize1qGates,
-                &mut dag,
-                &mut props,
-                &mut stats,
-                true,
-            )?;
-            run_stage(
-                &mut guard,
-                "CxCancellation",
-                &CxCancellation,
-                &mut dag,
-                &mut props,
-                &mut stats,
-                true,
-            )?;
-        }
-        level => {
-            run_stage(
-                &mut guard,
-                "Optimize1qGates",
-                &Optimize1qGates,
-                &mut dag,
-                &mut props,
-                &mut stats,
-                true,
-            )?;
-            let mut fp = FixedPointLoop::new(fixpoint_passes(level >= 3), dag.num_qubits());
-            if !opts.interest_filtering {
-                fp = fp.without_interest_filtering();
+
+    /// Runs the preset pipeline at the options' level: device unrolling,
+    /// layout and routing (mandatory: they run even past the deadline,
+    /// since without them there is no hardware-valid circuit at all),
+    /// then the level's optimizations. Returns the final map. Flows that
+    /// extend a preset (the Hoare baseline appends its pass to level 3)
+    /// run their extra stages after it, before [`GuardedPipeline::finish`].
+    ///
+    /// # Errors
+    ///
+    /// Same failure modes as [`transpile`].
+    pub fn run_preset(&mut self, backend: &Backend) -> Result<Vec<usize>, TranspileError> {
+        let opts = self.opts;
+        self.stage("Unroller(device)", &Unroller::to_device_basis(), false)?;
+        let final_map = self.map_to_device(backend, opts.level, opts.seed, opts.routing_trials)?;
+        // Decompose routing SWAPs.
+        self.stage("Unroller(device)", &Unroller::to_device_basis(), false)?;
+        match opts.level {
+            0 => {}
+            1 => {
+                self.stage("Optimize1qGates", &Optimize1qGates, true)?;
+                self.stage("CxCancellation", &CxCancellation, true)?;
             }
-            fp.run_guarded(&mut dag, &mut props, 10, &mut guard)?;
-            stats.extend(fp.stats);
+            level => {
+                self.stage("Optimize1qGates", &Optimize1qGates, true)?;
+                self.fixpoint(level >= 3)?;
+            }
         }
+        Ok(final_map)
     }
-    if guard.deadline_exceeded() {
-        // Record the overrun even when no pass was individually skipped
-        // (e.g. the last pass itself blew the deadline).
-        guard.note_deadline("pipeline end");
+
+    /// Runs one straight-line stage under the guard (see [`run_stage`]).
+    /// `optional` stages are skipped past the deadline or when
+    /// pre-disabled; any stage that fails is rolled back and quarantined.
+    ///
+    /// # Errors
+    ///
+    /// Only hard budget violations.
+    pub fn stage(
+        &mut self,
+        label: &'static str,
+        pass: &dyn DagPass,
+        optional: bool,
+    ) -> Result<(), TranspileError> {
+        run_stage(
+            &mut self.guard,
+            label,
+            pass,
+            &mut self.dag,
+            &mut self.props,
+            &mut self.stats,
+            optional,
+        )
     }
-    let final_map = layout.iter().map(|&w| wire_map[w]).collect();
-    // The single dag→circuit conversion of the pipeline.
-    let c = dag.to_circuit();
-    Ok((
-        Transpiled {
-            circuit: c,
+
+    /// Runs a fresh level-2/3 fixed-point loop ([`fixpoint_passes`]) to
+    /// its fixed point, at most 10 iterations, under the guard.
+    ///
+    /// # Errors
+    ///
+    /// Only hard budget violations.
+    pub fn fixpoint(&mut self, consolidate: bool) -> Result<(), TranspileError> {
+        let mut fp = FixedPointLoop::new(fixpoint_passes(consolidate), self.dag.num_qubits());
+        if !self.opts.interest_filtering {
+            fp = fp.without_interest_filtering();
+        }
+        fp.run_guarded(&mut self.dag, &mut self.props, 10, &mut self.guard)?;
+        self.stats.extend(fp.stats);
+        Ok(())
+    }
+
+    /// Layout selection (dense at `level` ≥ 2) and routing, the mandatory
+    /// mapping stages: panics become typed errors, routing trials past the
+    /// deadline are skipped and reported. Returns the final map
+    /// (`final_map[q]` = physical qubit logical `q` ends on).
+    ///
+    /// # Errors
+    ///
+    /// Same failure modes as [`dag_stage_layout`] and
+    /// [`dag_stage_route_budgeted`], plus the hard gate ceiling on the
+    /// routed circuit.
+    pub fn map_to_device(
+        &mut self,
+        backend: &Backend,
+        level: u8,
+        seed: u64,
+        trials: usize,
+    ) -> Result<Vec<usize>, TranspileError> {
+        let dag = &mut self.dag;
+        let layout = catch_stage("layout", || dag_stage_layout(dag, backend, level))?;
+        let snapshot = self.guard.snapshot();
+        let (wire_map, trials_run) = catch_stage("routing", || {
+            dag_stage_route_budgeted(dag, backend, seed, trials, snapshot)
+        })?;
+        if trials_run < trials.max(1) {
+            self.guard.note_deadline("routing trials");
+        }
+        self.guard.check_gates(&self.dag)?;
+        Ok(layout.iter().map(|&w| wire_map[w]).collect())
+    }
+
+    /// Ends the run: records a deadline overrun even when no pass was
+    /// individually skipped (e.g. the last pass itself blew the deadline),
+    /// and performs the pipeline's single dag→circuit conversion.
+    pub fn finish(mut self, final_map: Vec<usize>) -> (Transpiled, Vec<PassStats>) {
+        if self.guard.deadline_exceeded() {
+            self.guard.note_deadline("pipeline end");
+        }
+        let transpiled = Transpiled {
+            circuit: self.dag.to_circuit(),
             final_map,
-            degradation: guard.into_report(),
-        },
-        stats,
-    ))
+            degradation: self.guard.into_report(),
+        };
+        (transpiled, self.stats)
+    }
 }
 
 /// Rejects structurally invalid input before any pass runs: non-finite
