@@ -518,8 +518,8 @@ impl PassGuard {
 }
 
 /// Runs a straight-line pipeline stage under the guard, appending its
-/// statistics — the guarded counterpart of [`crate::manager::run_named`]
-/// used by the instrumented pipelines' prefix stages.
+/// statistics (the fixed-point loop keeps its own per-pass stats) — the
+/// stage runner behind [`crate::preset::GuardedPipeline::stage`].
 ///
 /// # Errors
 ///

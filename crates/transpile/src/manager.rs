@@ -363,22 +363,6 @@ pub fn run_timed(
     Ok(report)
 }
 
-/// Runs a straight-line pipeline stage under `name`, appending its
-/// statistics — the shared helper of the instrumented pipelines' prefix
-/// stages (the fixed-point loop keeps its own per-pass stats).
-pub fn run_named(
-    name: &'static str,
-    pass: &dyn DagPass,
-    dag: &mut Dag,
-    props: &mut PropertySet,
-    stats: &mut Vec<PassStats>,
-) -> Result<(), TranspileError> {
-    let mut s = PassStats::new_named(name);
-    run_timed(pass, dag, props, &mut s)?;
-    stats.push(s);
-    Ok(())
-}
-
 /// The change-driven fixed-point driver for a fixed pass sequence (the
 /// paper's Fig. 8 line 9 loop).
 ///
